@@ -6,25 +6,32 @@ ways and cross-checks them:
 * **vector clocks**: generation-event clocks from the
   :class:`repro.clocks.events.EventLog` compared with the standard
   partial order;
-* **explicit DAG**: a networkx digraph with one node per event,
-  program-order edges within each site and an edge from every execution
-  of an operation to the next event at that site (Definition 1 case 2
-  is then graph reachability from ``generate(O_a)`` to
-  ``generate(O_b)``).
+* **explicit DAG**: the log's generations and executions passed through
+  the bitset DAG builder of :class:`repro.obs.analysis.TraceCausality`
+  -- program-order edges within each site and an edge from every
+  operation's generation to each of its executions, so Definition 1
+  case 2 is reachability from ``generate(O_a)`` to ``generate(O_b)``.
 
-The compressed scheme's verdicts are validated against this oracle in
-the integration and property tests; disagreement between the two oracle
-constructions themselves fails loudly (:class:`OracleInconsistency`).
+These are the repo's only two happens-before derivations; the simulator
+and the cluster both check recorded traces against them.  The compressed
+scheme's verdicts are validated against this oracle in the integration
+and property tests; disagreement between the two constructions
+themselves fails loudly (:class:`OracleInconsistency`).
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-import networkx as nx
-
-from repro.clocks.events import Event, EventKind, EventLog
+from repro.clocks.events import EventKind, EventLog
 from repro.clocks.vector import Ordering, compare
+from repro.obs.analysis import TraceCausality
+from repro.obs.tracer import TraceEvent, TraceEventKind
+
+_TRACE_KIND = {
+    EventKind.GENERATE: TraceEventKind.GENERATED,
+    EventKind.EXECUTE: TraceEventKind.EXECUTED,
+}
 
 
 class OracleInconsistency(AssertionError):
@@ -36,45 +43,26 @@ class CausalityOracle:
 
     def __init__(self, log: EventLog) -> None:
         self.log = log
-        self.graph = self._build_graph(log)
-        self._reachable = self._transitive_reachability(self.graph)
-        self._generation_event: dict[Hashable, Event] = {
+        self._generation = {
             event.op_id: event
             for event in log.events
             if event.kind is EventKind.GENERATE
         }
-
-    @staticmethod
-    def _build_graph(log: EventLog) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        last_at_site: dict[int, Event] = {}
-        for event in log.events:
-            graph.add_node(event)
-            # Program order within a site.
-            previous = last_at_site.get(event.site)
-            if previous is not None:
-                graph.add_edge(previous, event)
-            last_at_site[event.site] = event
-            # A (remote) execution depends on the operation's generation.
-            if event.kind is EventKind.EXECUTE:
-                gen = next(
-                    e
-                    for e in log.events
-                    if e.kind is EventKind.GENERATE and e.op_id == event.op_id
+        # The DAG builder keys operations by string id; numbering them in
+        # generation order lets any hashable op id through unchanged.
+        self._name = {op: str(i) for i, op in enumerate(self._generation)}
+        self._dag = TraceCausality(
+            [
+                TraceEvent(
+                    index=i,
+                    kind=_TRACE_KIND[event.kind],
+                    time=0.0,
+                    site=event.site,
+                    op_id=self._name[event.op_id],
                 )
-                if gen is not event:
-                    graph.add_edge(gen, event)
-        return graph
-
-    @staticmethod
-    def _transitive_reachability(graph: "nx.DiGraph") -> dict[Event, set[Event]]:
-        order = list(nx.topological_sort(graph))
-        reachable: dict[Event, set[Event]] = {node: set() for node in order}
-        for node in reversed(order):
-            for succ in graph.successors(node):
-                reachable[node].add(succ)
-                reachable[node] |= reachable[succ]
-        return reachable
+                for i, event in enumerate(log.events)
+            ]
+        )
 
     # -- queries over operations ----------------------------------------------
 
@@ -84,11 +72,11 @@ class CausalityOracle:
         Computed by DAG reachability from ``generate(O_a)`` to
         ``generate(O_b)`` and cross-checked against vector clocks.
         """
-        gen_a = self._generation_event[op_a]
-        gen_b = self._generation_event[op_b]
-        dag_answer = gen_b in self._reachable[gen_a]
+        dag_answer = self._dag.happened_before(self._name[op_a], self._name[op_b])
+        clocks = self.log.clocks
         vc_answer = (
-            compare(self.log.clocks[gen_a], self.log.clocks[gen_b]) is Ordering.BEFORE
+            compare(clocks[self._generation[op_a]], clocks[self._generation[op_b]])
+            is Ordering.BEFORE
         )
         if dag_answer != vc_answer:
             raise OracleInconsistency(
@@ -107,7 +95,7 @@ class CausalityOracle:
 
     def causal_pairs(self) -> set[tuple[Hashable, Hashable]]:
         """All ordered pairs ``(a, b)`` with ``a -> b``."""
-        ops = list(self._generation_event)
+        ops = list(self._name)
         return {
             (a, b)
             for a in ops
@@ -117,7 +105,7 @@ class CausalityOracle:
 
     def concurrent_pairs(self) -> set[frozenset]:
         """All unordered concurrent pairs."""
-        ops = list(self._generation_event)
+        ops = list(self._name)
         out = set()
         for i, a in enumerate(ops):
             for b in ops[i + 1 :]:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
-import networkx as nx
-
 from repro.analysis.causality import CausalityOracle
 from repro.clocks.events import EventKind, EventLog
 
@@ -58,27 +56,27 @@ def session_stats(log: EventLog, ops: list[Hashable] | None = None) -> SessionSt
             for event in log.events
             if event.kind is EventKind.GENERATE and event.site != 0
         ]
+    # Happened-before implies generation order, so in that order an
+    # earlier op can never follow a later one: each pair is either
+    # ``a -> b`` or concurrent, and one forward pass finds the longest
+    # chain ending at every op.
+    position = {op: k for k, op in enumerate(log.op_ids())}
+    ops = sorted(ops, key=position.__getitem__)
     oracle = CausalityOracle(log)
     n = len(ops)
-    concurrent = 0
     causal = 0
-    chain = nx.DiGraph()
-    chain.add_nodes_from(ops)
-    for i, a in enumerate(ops):
-        for b in ops[i + 1 :]:
-            if oracle.concurrent(a, b):
-                concurrent += 1
-            elif oracle.happened_before(a, b):
+    depth = [1] * n  # longest happened-before chain ending at ops[j]
+    for j, b in enumerate(ops):
+        for i, a in enumerate(ops[:j]):
+            if oracle.happened_before(a, b):
                 causal += 1
-                chain.add_edge(a, b)
-            else:
-                causal += 1
-                chain.add_edge(b, a)
+                depth[j] = max(depth[j], depth[i] + 1)
     n_pairs = n * (n - 1) // 2
-    depth = nx.dag_longest_path_length(chain) + 1 if n else 0
+    concurrent = n_pairs - causal
+    chosen = set(ops)
     per_site: dict[int, int] = {}
     for event in log.events:
-        if event.kind is EventKind.GENERATE and event.op_id in set(ops):
+        if event.kind is EventKind.GENERATE and event.op_id in chosen:
             per_site[event.site] = per_site.get(event.site, 0) + 1
     return SessionStats(
         n_ops=n,
@@ -86,7 +84,7 @@ def session_stats(log: EventLog, ops: list[Hashable] | None = None) -> SessionSt
         concurrent_pairs=concurrent,
         causal_pairs=causal,
         concurrency_degree=concurrent / n_pairs if n_pairs else 0.0,
-        causal_depth=depth,
+        causal_depth=max(depth, default=0),
         ops_per_site=per_site,
     )
 

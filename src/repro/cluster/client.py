@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import random
 import signal
 import time
@@ -66,7 +67,7 @@ from repro.cluster.harness import (
 )
 from repro.editor.star_client import StarClient
 from repro.net.beacon import BeaconSender
-from repro.net.scheduler import AsyncioScheduler
+from repro.net.scheduler import AsyncioScheduler, SchedulingError
 from repro.net.transport import Envelope
 from repro.net.wire import (
     WireChannel,
@@ -249,8 +250,13 @@ async def run_client(config: ClusterConfig, site: int, port: int,
             coordinator.note_progress()
 
     for intent in intents:
-        sched.schedule(intent.time * config.time_scale,
-                       lambda seed=intent.seed: fire(seed))
+        edit = functools.partial(fire, intent.seed)
+        try:
+            sched.schedule(intent.time * config.time_scale, edit)
+        except SchedulingError:
+            # The schedule's clock started before the connect: an edit a
+            # slow connect left overdue fires at once.
+            sched.schedule_after(0.0, edit)
 
     def on_envelope(envelope: Envelope) -> None:
         client.on_message(envelope)

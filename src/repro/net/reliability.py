@@ -128,47 +128,19 @@ class RetransmitPolicy:
 class ReliabilityConfig:
     """Parameters of the reliability protocol.
 
-    The retransmission knobs live in :class:`RetransmitPolicy`; the
-    scalar fields here (``base_rto``/``max_rto``/``backoff``/
-    ``max_retries``) are a construction convenience kept for the many
-    existing call sites -- ``__post_init__`` folds them into
-    :attr:`retransmit`, which is the *only* view the protocol reads.
-    Passing an explicit ``retransmit`` policy wins over the scalars
-    (and is mirrored back into them so both views always agree).
-
-    ``probe_interval``/``max_probes`` shape the bounded heartbeat
-    :meth:`ReliableEndpoint.probe_peer` uses to confirm a suspicion,
-    and ``holdback_limit`` caps the reorder buffer (see
-    :class:`repro.net.holdback.HoldbackOverflow`).
+    The retransmission knobs live in :class:`RetransmitPolicy`
+    (:attr:`retransmit`).  ``probe_interval``/``max_probes`` shape the
+    bounded heartbeat :meth:`ReliableEndpoint.probe_peer` uses to
+    confirm a suspicion, and ``holdback_limit`` caps the reorder buffer
+    (see :class:`repro.net.holdback.HoldbackOverflow`).
     """
 
-    base_rto: float = 0.5  # initial retransmit timeout (scheduler time)
-    max_rto: float = 8.0  # backoff ceiling
-    backoff: float = 2.0  # timeout multiplier per retry round
-    max_retries: Optional[int] = 12  # retransmit rounds before giving up
     probe_interval: float = 0.5  # spacing of liveness probes
     max_probes: int = 5  # unanswered probes before declaring death
     holdback_limit: Optional[int] = 1024  # reorder-buffer capacity
     retransmit: RetransmitPolicy = RetransmitPolicy()
 
     def __post_init__(self) -> None:
-        if self.retransmit == RetransmitPolicy():
-            # Scalars are authoritative; the policy constructor validates.
-            object.__setattr__(
-                self,
-                "retransmit",
-                RetransmitPolicy(
-                    base_rto=self.base_rto,
-                    max_rto=self.max_rto,
-                    backoff=self.backoff,
-                    max_retries=self.max_retries,
-                ),
-            )
-        else:
-            object.__setattr__(self, "base_rto", self.retransmit.base_rto)
-            object.__setattr__(self, "max_rto", self.retransmit.max_rto)
-            object.__setattr__(self, "backoff", self.retransmit.backoff)
-            object.__setattr__(self, "max_retries", self.retransmit.max_retries)
         if self.probe_interval <= 0 or self.max_probes < 1:
             raise ValueError(f"malformed probe parameters: {self}")
         if self.holdback_limit is not None and self.holdback_limit < 1:

@@ -5,11 +5,16 @@ rebuild the happened-before relation of the paper's Definition 1 without
 any access to the live session: generations and executions give the
 event set, emission order gives each site's program order, and
 snapshot/recovery pairs give the causal edge a state transfer creates.
-:class:`TraceCausality` performs that reconstruction, and
-:func:`cross_check_causality` verifies it -- pair by pair -- against the
-ground-truth oracle in :mod:`repro.analysis.causality`, the same way
+:class:`TraceCausality` performs that reconstruction as a bitset DAG,
+and :func:`cross_check_causality` verifies it -- pair by pair --
+against the vector clocks of an :class:`~repro.clocks.events.EventLog`
+(through the ground-truth oracle in :mod:`repro.analysis.causality`,
+which builds its own DAG with the same builder), the same way
 model-checking work validates replication algorithms against recorded
-executions.
+executions.  These two -- the bitset DAG and the event-log vector clock
+-- are the repo's only happens-before derivations: the simulator checks
+its trace against its live log, and the cluster checks its merged trace
+against :func:`replay_event_log` of that trace.
 
 :func:`verify_check_records` closes the loop on formulas (5) and (7):
 every concurrency verdict the compressed scheme produced during the run
@@ -28,6 +33,7 @@ from repro.obs.tracer import Histogram, MetricsRegistry, TraceEvent, TraceEventK
 
 if TYPE_CHECKING:
     from repro.clocks.events import EventLog
+    from repro.clocks.vector import VectorClock
     from repro.session.base import CheckRecord
 
 # Event kinds that are *causally meaningful*: they enter the DAG as
@@ -68,6 +74,25 @@ def _transfer_category(via: Optional[str]) -> str:
     return "failover" if via == "failover" else "resync"
 
 
+def transfer_key(event: TraceEvent) -> Optional[tuple[int, int, str]]:
+    """The key pairing a state-transfer ``SNAPSHOT`` with its ``RECOVERED``.
+
+    ``(receiving site, epoch, transfer category)`` for a resync or
+    failover snapshot or recovery; ``None`` for every other event,
+    including join transfers, which carry no causality (see
+    :class:`TraceCausality`).  Every consumer that pairs transfers --
+    the DAG, the event-log replay and the cluster's trace merge --
+    matches on this one key.
+    """
+    if event.via == "join":
+        return None
+    if event.kind is TraceEventKind.SNAPSHOT and event.peer is not None:
+        return (event.peer, event.epoch or 0, _transfer_category(event.via))
+    if event.kind is TraceEventKind.RECOVERED:
+        return (event.site, event.epoch or 0, _transfer_category(event.via))
+    return None
+
+
 class TraceAnalysisError(ValueError):
     """Raised on a structurally malformed trace."""
 
@@ -75,8 +100,9 @@ class TraceAnalysisError(ValueError):
 class TraceCausality:
     """The happened-before relation reconstructed from a recorded trace.
 
-    Construction mirrors :class:`repro.analysis.causality.CausalityOracle`
-    but reads *trace events* instead of the live event log:
+    The repo's one DAG builder: :class:`repro.analysis.causality.CausalityOracle`
+    passes an event log's generations and executions through it too.
+    Construction:
 
     * one DAG node per causally meaningful trace event;
     * program-order edges within each site (emission order restricted to
@@ -137,15 +163,10 @@ class TraceCausality:
                         "before any generation event"
                     )
                 successors[position[generation.index]].append(pos)
-            elif event.kind is TraceEventKind.SNAPSHOT:
-                if event.peer is not None:
-                    key = (event.peer, event.epoch or 0, _transfer_category(event.via))
+            elif (key := transfer_key(event)) is not None:
+                if event.kind is TraceEventKind.SNAPSHOT:
                     pending_snapshots[key] = pos
-            elif event.kind is TraceEventKind.RECOVERED and event.via != "join":
-                sender = pending_snapshots.pop(
-                    (event.site, event.epoch or 0, _transfer_category(event.via)), None
-                )
-                if sender is not None:
+                elif (sender := pending_snapshots.pop(key, None)) is not None:
                     successors[sender].append(pos)
         reach = [0] * len(nodes)
         for pos in range(len(nodes) - 1, -1, -1):
@@ -234,6 +255,40 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
+def replay_event_log(events: Sequence[TraceEvent], n_sites: int) -> "EventLog":
+    """Replay a recorded trace into an :class:`EventLog`.
+
+    Makes the same log calls the live editors make: an operation's
+    first ``GENERATED`` or ``TRANSFORMED`` event is its generation,
+    ``EXECUTED`` an execution, and a resync or failover state transfer
+    hands the sender's clock at ``SNAPSHOT`` time to the ``RECOVERED``
+    site (paired by :func:`transfer_key`).  The cluster has no shared
+    live log, so its merged trace is checked against this one; on a
+    simulator trace the replayed log orders every operation pair
+    exactly as the live log does.  ``n_sites`` is the log's width.
+    """
+    from repro.clocks.events import EventLog
+
+    log = EventLog(n_sites)
+    generated: set[str] = set()
+    snapshot_clock: dict[tuple[int, int, str], "VectorClock"] = {}
+    for event in events:
+        if event.kind in (TraceEventKind.GENERATED, TraceEventKind.TRANSFORMED):
+            if event.op_id is None:
+                raise TraceAnalysisError(f"generation event without op id: {event}")
+            if event.op_id not in generated:
+                generated.add(event.op_id)
+                log.generate(event.site, event.op_id)
+        elif event.kind is TraceEventKind.EXECUTED:
+            log.execute(event.site, event.op_id)
+        elif (key := transfer_key(event)) is not None:
+            if event.kind is TraceEventKind.SNAPSHOT:
+                snapshot_clock[key] = log.site_clock(event.site)
+            elif (clock := snapshot_clock.pop(key, None)) is not None:
+                log.absorb_snapshot(event.site, clock)
+    return log
+
+
 def cross_check_causality(
     trace: "TraceCausality | Sequence[TraceEvent]", event_log: "EventLog"
 ) -> CrossCheckReport:
@@ -246,7 +301,8 @@ def cross_check_causality(
     events, which the oracle's event DAG does not model; the oracle's
     *vector-clock* half stays exact across state transfers (the event
     log absorbs the snapshot clock), so recovery traces are checked
-    against that relation instead.
+    against that relation instead.  The simulator passes its live log;
+    the cluster passes :func:`replay_event_log` of its merged trace.
     """
     from repro.clocks.vector import Ordering, compare
 
@@ -261,7 +317,7 @@ def cross_check_causality(
         only_in_log=sorted(set(log_ops) - set(trace_ops)),
     )
     recovered = any(
-        e.kind is TraceEventKind.RECOVERED and e.via != "join"
+        e.kind is TraceEventKind.RECOVERED and transfer_key(e) is not None
         for e in causality.events
     )
     if not recovered:
@@ -281,7 +337,8 @@ def cross_check_causality(
                 is Ordering.BEFORE
             )
 
-    shared = [op for op in trace_ops if op in set(log_ops)]
+    logged = set(log_ops)
+    shared = [op for op in trace_ops if op in logged]
     for a in shared:
         for b in shared:
             if a == b:

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
+from typing import Any
+
+import pytest
 
 from repro.cluster import ClusterConfig, run_cluster
 from repro.cluster.harness import read_artifacts
+from repro.workloads.random_session import generate_random_edits
 
 
 def test_three_client_cluster_converges(tmp_path: Path) -> None:
@@ -76,6 +80,49 @@ def test_serve_and_client_in_one_loop(tmp_path: Path) -> None:
     assert len(documents) == 1
 
 
+def test_a_slow_connect_fires_overdue_edits_at_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """A client's schedule clock starts before it connects.
+
+    A connect slower than the first edit's due time (50 ms here) leaves
+    edits overdue; they must fire at once rather than fail the run.
+    """
+    from repro.cluster import client as client_mod
+    from repro.cluster.client import run_client
+    from repro.cluster.serve import serve
+
+    dial = client_mod.connect_with_backoff
+
+    async def slow_dial(*args: Any, **kwargs: Any) -> Any:
+        await asyncio.sleep(0.4)
+        return await dial(*args, **kwargs)
+
+    monkeypatch.setattr(client_mod, "connect_with_backoff", slow_dial)
+    config = ClusterConfig(clients=2, ops_per_client=3, seed=1,
+                           timeout_s=15.0, settle_s=0.1)
+    assert max(i.time for i in generate_random_edits(config.session_config())) \
+        * config.time_scale < 0.4  # every edit is overdue at connect
+
+    async def body() -> list[bool]:
+        port_future: asyncio.Future[int] = asyncio.get_running_loop().create_future()
+        server = asyncio.ensure_future(serve(config, tmp_path,
+                                             on_port=port_future))
+        port = await asyncio.wait_for(port_future, 10.0)
+        clients = [
+            asyncio.ensure_future(run_client(config, site, port, tmp_path))
+            for site in (1, 2)
+        ]
+        return list(await asyncio.wait_for(
+            asyncio.gather(server, *clients), config.timeout_s + 10.0
+        ))
+
+    assert all(asyncio.run(body()))
+    results = [read_artifacts(tmp_path, site)[0] for site in range(3)]
+    assert len({r.document for r in results}) == 1
+    assert all(r.executed_ops == config.total_ops for r in results)
+
+
 def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     tmp_path: Path,
 ) -> None:
@@ -85,8 +132,6 @@ def test_cluster_with_telemetry_streams_and_monitor_aggregation(
     stream holds gossiped client frames), and the monitor's per-site
     aggregate must equal each process's final local stats.
     """
-    import pytest
-
     from repro.cluster.driver import ClusterError
     from repro.cluster.harness import telemetry_path
     from repro.obs.monitor import aggregate, run_monitor, scan_dir
@@ -143,8 +188,6 @@ def test_injected_notifier_crash_without_failover_leaves_flight_recorders(
     artifacts by name instead of discarding the run -- the explained
     failure, not a hang or an unexplained one.
     """
-    import pytest
-
     from repro.cluster.driver import ClusterError
     from repro.cluster.harness import flight_path, telemetry_path
     from repro.obs.monitor import scan_dir

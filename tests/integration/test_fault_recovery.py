@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from repro.editor.star import ReliabilityConfig, StarSession
+from repro.editor.star import StarSession
 from repro.net.channel import UniformLatency
 from repro.net.faults import ChannelFaults, ClientCrash, FaultPlan
+from repro.net.reliability import ReliabilityConfig
 from repro.ot.operations import Insert
 from repro.workloads.random_session import RandomSessionConfig, drive_star_session
 

@@ -3,22 +3,21 @@
 Per-process traces arrive with private indices and same-host wall-clock
 stamps; :func:`merge_traces` must produce one stream that is a
 topological order of the causal DAG even when clock skew stamps an
-execution *before* the generation it depends on.  The vector-clock
-replay is the independent algorithm the merged trace is checked
-against.
+execution *before* the generation it depends on.  The merged trace is
+then replayed into an event log, whose vector clocks are the
+independent derivation the trace's DAG is checked against.
 """
 
 from __future__ import annotations
 
 from repro.clocks.vector import Ordering, compare
-from repro.cluster.check import (
-    analyze_cluster,
-    cross_check_merged_trace,
-    merge_traces,
-    trace_vector_clock_hb,
-)
+from repro.cluster.check import analyze_cluster, merge_traces
 from repro.cluster.harness import ProcessResult
-from repro.obs.analysis import TraceCausality
+from repro.obs.analysis import (
+    TraceCausality,
+    cross_check_causality,
+    replay_event_log,
+)
 from repro.obs.tracer import TraceEvent, TraceEventKind
 
 
@@ -80,27 +79,47 @@ def test_merge_emits_blocked_heads_rather_than_hanging() -> None:
     assert len(merged) == 1
 
 
-def test_vector_clock_replay_agrees_with_dag_reachability() -> None:
-    # 1-1 happens-before its transform 1-1'; 2-1 is concurrent with 1-1.
+def test_replayed_event_log_agrees_with_dag_reachability() -> None:
+    K = TraceEventKind
     events = [
-        _event(0, TraceEventKind.GENERATED, 1.0, 1, op_id="1-1"),
-        _event(1, TraceEventKind.GENERATED, 1.1, 2, op_id="2-1"),
-        _event(2, TraceEventKind.EXECUTED, 1.5, 0, op_id="1-1"),
-        _event(3, TraceEventKind.TRANSFORMED, 1.5, 0, op_id="1-1'",
-               source_op_id="1-1"),
-        _event(4, TraceEventKind.EXECUTED, 1.6, 0, op_id="2-1"),
-        _event(5, TraceEventKind.TRANSFORMED, 1.6, 0, op_id="2-1'",
-               source_op_id="2-1"),
-        _event(6, TraceEventKind.EXECUTED, 2.0, 2, op_id="1-1'"),
-        _event(7, TraceEventKind.EXECUTED, 2.1, 1, op_id="2-1'"),
+        # 1-1 happens-before its transform 1-1'; 2-1 is concurrent with 1-1.
+        _event(0, K.GENERATED, 1.0, 1, op_id="1-1"),
+        _event(1, K.GENERATED, 1.1, 2, op_id="2-1"),
+        _event(2, K.EXECUTED, 1.5, 0, op_id="1-1"),
+        _event(3, K.TRANSFORMED, 1.5, 0, op_id="1-1'", source_op_id="1-1"),
+        _event(4, K.EXECUTED, 1.6, 0, op_id="2-1"),
+        _event(5, K.TRANSFORMED, 1.6, 0, op_id="2-1'", source_op_id="2-1"),
+        _event(6, K.EXECUTED, 2.0, 2, op_id="1-1'"),
+        _event(7, K.EXECUTED, 2.1, 1, op_id="2-1'"),
+        # Site 3 crashes and resyncs (crash epoch 1): the snapshot hands
+        # it the notifier's whole history.
+        _event(8, K.CRASHED, 2.2, 3),
+        _event(9, K.SNAPSHOT, 2.5, 0, peer=3, epoch=1, via="resync"),
+        _event(10, K.RECOVERED, 2.6, 3, peer=0, epoch=1, via="resync"),
+        _event(11, K.GENERATED, 2.7, 3, op_id="3-1"),
+        _event(12, K.GENERATED, 2.8, 2, op_id="2-2"),
+        # The notifier dies; site 1 is promoted and re-admits site 3
+        # under notifier epoch 1 -- the same (site, epoch) as the crash
+        # resync, told apart only by the transfer category.
+        _event(13, K.PROMOTED, 3.0, 1, epoch=1),
+        _event(14, K.GENERATED, 3.1, 1, op_id="1-2"),
+        _event(15, K.SNAPSHOT, 3.2, 1, peer=3, epoch=1, via="failover"),
+        _event(16, K.RECOVERED, 3.3, 3, peer=1, epoch=1, via="failover"),
+        _event(17, K.GENERATED, 3.4, 3, op_id="3-2"),
     ]
-    clocks = trace_vector_clock_hb(events, n_sites=2)
-    assert compare(clocks["1-1"], clocks["1-1'"]) is Ordering.BEFORE
-    assert compare(clocks["1-1"], clocks["2-1"]) is Ordering.CONCURRENT
-    report = cross_check_merged_trace(TraceCausality(events), n_sites=2)
-    assert report.ok
-    assert report.n_ops == 4
-    assert report.pairs_checked == 12
+    log = replay_event_log(events, n_sites=4)
+    clock = log.generation_clock
+    assert compare(clock("1-1"), clock("1-1'")) is Ordering.BEFORE
+    assert compare(clock("1-1"), clock("2-1")) is Ordering.CONCURRENT
+    assert compare(clock("2-1'"), clock("3-1")) is Ordering.BEFORE  # resync
+    assert compare(clock("1-2"), clock("3-2")) is Ordering.BEFORE  # failover
+    assert compare(clock("1-2"), clock("3-1")) is Ordering.CONCURRENT
+    assert compare(clock("2-2"), clock("3-2")) is Ordering.CONCURRENT
+    report = cross_check_causality(TraceCausality(events), log)
+    assert report.mode == "vector-clock"  # recoveries: the VC relation
+    assert report.ok, report.summary()
+    assert report.n_ops == 8
+    assert report.pairs_checked == 56
 
 
 def test_analyze_cluster_full_verdict() -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.causality import CausalityOracle
+from repro.analysis.causality import CausalityOracle, OracleInconsistency
 from repro.clocks.events import EventKind, EventLog
 from repro.clocks.vector import VectorClock
 
@@ -110,3 +110,16 @@ class TestCausalityOracle:
         log.generate(1, "b")
         oracle = CausalityOracle(log)
         assert oracle.concurrent("a", "b")
+
+    def test_tampered_log_clock_raises_oracle_inconsistency(self):
+        """The DAG and the vector clocks are checked against each other:
+        a generation clock that forgets its causal past must be caught."""
+        log = fig2_log()
+        gen_o3 = next(
+            e for e in log.events if e.kind is EventKind.GENERATE and e.op_id == "O3"
+        )
+        log.clocks[gen_o3] = VectorClock.zero(4).tick(2)  # forgets O1 and O2
+        oracle = CausalityOracle(log)
+        assert oracle.happened_before("O2", "O4")  # untouched pairs still agree
+        with pytest.raises(OracleInconsistency, match="O1 -> O3"):
+            oracle.happened_before("O1", "O3")

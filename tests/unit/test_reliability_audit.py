@@ -8,7 +8,7 @@ pairs actually released to the editor; these tests feed it every
 corruption it claims to detect.
 """
 
-from repro.editor.star import ReliabilityConfig, ReliableEndpoint
+from repro.net.reliability import ReliabilityConfig, ReliableEndpoint
 from repro.net.simulator import Simulator
 
 

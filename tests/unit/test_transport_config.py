@@ -3,8 +3,8 @@
 Satellites of ISSUE 7: a transport used before its I/O hooks are
 attached must fail with a :class:`TransportError` naming the miswired
 endpoint (not a bare ``RuntimeError``), and every retransmit knob lives
-in one frozen :class:`RetransmitPolicy` that the scalar fields of
-``ReliabilityConfig`` keep mirroring for backward compatibility.
+in one frozen :class:`RetransmitPolicy`, set only through
+``ReliabilityConfig(retransmit=...)``.
 """
 
 from __future__ import annotations
@@ -59,32 +59,6 @@ def test_wired_transport_does_not_raise() -> None:
 
 
 # -- RetransmitPolicy ----------------------------------------------------------
-
-
-def test_default_policy_matches_legacy_scalar_defaults() -> None:
-    config = ReliabilityConfig()
-    policy = config.retransmit
-    assert policy == RetransmitPolicy()
-    assert (policy.base_rto, policy.max_rto, policy.backoff, policy.max_retries) \
-        == (config.base_rto, config.max_rto, config.backoff, config.max_retries)
-
-
-def test_legacy_scalars_populate_the_policy() -> None:
-    config = ReliabilityConfig(base_rto=0.1, max_rto=0.4, backoff=3.0,
-                               max_retries=2)
-    assert config.retransmit == RetransmitPolicy(
-        base_rto=0.1, max_rto=0.4, backoff=3.0, max_retries=2
-    )
-
-
-def test_explicit_policy_wins_and_mirrors_into_scalars() -> None:
-    policy = RetransmitPolicy(base_rto=0.2, max_rto=1.6, backoff=2.0,
-                              max_retries=None)
-    config = ReliabilityConfig(retransmit=policy)
-    assert config.retransmit is policy
-    assert config.base_rto == 0.2
-    assert config.max_rto == 1.6
-    assert config.max_retries is None
 
 
 @pytest.mark.parametrize(
