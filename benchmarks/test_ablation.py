@@ -68,6 +68,8 @@ def run_session(transform: bool, seed: int) -> StarSession:
         # full vector clocks over the REDEFINED operations -- any mismatch
         # raises ConsistencyError and fails this ablation
         verify_with_oracle=transform,
+        # count_verdict_mismatches reads the recorded verdicts
+        record_checks=True,
     )
     drive_star_session(session, config)
     session.run()
@@ -132,7 +134,6 @@ def test_abl2_garbage_collection(benchmark):
             initial_state=config.initial_document,
             latency_factory=latencies(0),
             record_events=False,
-            record_checks=False,
         )
         drive_star_session(session, config)
         if gc:

@@ -42,7 +42,6 @@ def run_star(n_sites, seed=0):
         initial_state=config.initial_document,
         latency_factory=latencies(seed),
         record_events=False,
-        record_checks=False,
     )
     drive_star_session(session, config)
     session.run()

@@ -24,6 +24,7 @@ def run_fig3(verify=False):
         latency_factory=fig_latency_factory,
         verify_with_oracle=verify,
         record_events=verify,
+        record_checks=True,  # the walkthrough compares every verdict
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

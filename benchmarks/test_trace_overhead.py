@@ -2,11 +2,11 @@
 
 The observability layer's overhead contract (see DESIGN.md and
 :mod:`repro.obs.tracer`): every hook site guards emission with a single
-``if self.tracer is not None`` attribute check, so a session constructed
-without a tracer -- the un-instrumented baseline -- pays one pointer
-comparison per hook and nothing else.  A session holding a *muted*
-tracer (``Tracer(enabled=False)``) additionally pays one early-returning
-method call per hook.
+``if self.tracer:`` truth test, so a session constructed without a
+tracer -- the un-instrumented baseline -- pays one test of ``None`` per
+hook and nothing else.  A session holding a *muted* tracer
+(``Tracer(enabled=False)``, which is falsy) additionally pays one
+``__bool__`` call per hook; the event's arguments are never built.
 
 This guard runs the same deterministic session in three configurations
 and asserts the muted-tracer run stays within 5% of the baseline

@@ -35,6 +35,7 @@ def run_scenario(transform: bool) -> StarSession:
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         transform_enabled=transform,
+        record_checks=True,
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

@@ -108,8 +108,15 @@ def transform_pressure(session) -> TransformPressure:
     """Measure transformation pressure from a finished star session.
 
     Derived from the recorded concurrency checks: each *true* verdict is
-    one pairwise transformation the receiver performed.
+    one pairwise transformation the receiver performed.  Only a session
+    built with ``record_checks=True`` records them; any other would read
+    as zero pressure, so it is refused with :class:`ValueError`.
     """
+    if not all(getattr(e, "record_checks", False) for e in session.participants()):
+        raise ValueError(
+            "transform_pressure reads recorded concurrency checks: build the "
+            "session with record_checks=True"
+        )
     remote_executions = 0
     steps = 0
     max_set = 0

@@ -61,6 +61,7 @@ def _run_scripted(transform: bool) -> StarSession:
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
         transform_enabled=transform,
+        record_checks=True,  # fig3 prints every formula verdict
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
@@ -276,6 +277,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             initial_state=config.initial_document,
             latency_factory=latency_factory,
             verify_with_oracle=True,
+            record_checks=True,  # verified against the trace below
             fault_plan=fault_plan,
             tracer=tracer,
             standby_site=args.standby,
@@ -319,7 +321,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if fault_plan is not None:
         print()
         print(session.fault_report().summary())
-    print(f"formula (5)/(7) verdicts vs trace: {len(disagreements)} disagreements")
+    print(
+        f"formula (5)/(7) verdicts vs trace: {len(disagreements)} disagreements "
+        f"in {len(session.all_checks())} check records"
+    )
     print(f"releases without a cause: {len(bad_releases)}")
     print()
     print("generation -> execution latency (virtual time):")

@@ -187,7 +187,7 @@ class MeshSite(EditorEndpoint):
         self.seq += 1
         self.vc = self.vc.tick(self.pid)
         record = MeshOp(op=op, vc=self.vc, site=self.pid, seq=self.seq)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.GENERATED, self.pid, op_id=record.op_id,
                 seq=record.seq,
@@ -206,7 +206,7 @@ class MeshSite(EditorEndpoint):
         # Stream = sender site, seq = the sender's generation index for
         # this operation (``record.vc[record.site] == record.seq``).
         self.hold_back.hold(record.site, record.seq, record)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.HELD_BACK, self.pid, op_id=record.op_id,
                 peer=record.site, seq=record.seq,
@@ -233,13 +233,13 @@ class MeshSite(EditorEndpoint):
         ):
             self.vc = self.vc.merge(record.vc)
             self.known_vc[record.site] = record.vc
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(
                     TraceEventKind.RELEASED, self.pid, op_id=record.op_id,
                     peer=record.site, seq=record.seq, via="holdback",
                 )
             self._integrate(record)
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(
                     TraceEventKind.EXECUTED, self.pid, op_id=record.op_id,
                     timestamp=tuple(record.vc[j] for j in range(self.n_sites)),

@@ -32,13 +32,22 @@ identifier (lower site wins), evaluated identically at both ends, which
 makes the outcome site-independent -- the convergence property the
 property-based tests exercise.
 
-Ground truth
-------------
-Every generation/execution is recorded in a shared
-:class:`repro.clocks.events.EventLog`.  With ``verify_with_oracle=True``
-each compressed-timestamp concurrency verdict is asserted against full
-vector clocks (paper formula 3) at check time; the integration tests run
-entire random sessions this way.
+Concurrency check and ground truth
+----------------------------------
+Under FIFO the operations concurrent with an arrival are exactly the
+receiver's unacknowledged window (DESIGN section 3): a client's
+``pending`` local operations, the notifier's ``sent_to[source]``.  That
+window is the production path, amortised O(1) per arrival beyond the
+transforms it feeds.  The paper's formulas (5) and (7) run over the
+whole history buffer only as its verifier, when a caller asks:
+``record_checks=True`` keeps one :class:`~repro.session.CheckRecord` per
+(arrival, history entry) pair, and ``verify_with_oracle=True`` asserts
+every verdict against full vector clocks (paper formula 3), read from
+the shared :class:`repro.clocks.events.EventLog` of every
+generation/execution.  Either one also raises
+:class:`~repro.session.ConsistencyError` if the formula's concurrent set
+differs from the window.  The integration tests run entire random
+sessions this way.
 
 Reliability under faults
 ------------------------
@@ -89,7 +98,7 @@ class StarSession(SessionBase):
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
         record_events: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         fault_plan: FaultPlan | None = None,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,

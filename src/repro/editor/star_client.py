@@ -5,8 +5,9 @@ simulated process that *owns* its transport (raw FIFO by default, the
 reliability protocol when the session runs with faults) and implements
 the paper's client-side rules on top of it -- execute local operations
 immediately, timestamp with the 2-element state vector ``SV_i``,
-check incoming notifier operations for concurrency with formula (5),
-transform against the not-yet-acknowledged local operations, execute.
+transform incoming notifier operations against the not-yet-acknowledged
+local operations (the set formula (5) selects; the formula sweep itself
+runs only as an opt-in verifier), execute.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class StarClient(EditorEndpoint):
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         joining: bool = False,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,
@@ -92,8 +93,9 @@ class StarClient(EditorEndpoint):
         self.event_log = event_log
         self.verify_with_oracle = verify_with_oracle
         self.transform_enabled = transform_enabled
-        # Diagnostic trace of every concurrency check.  O(ops * HB) memory:
-        # keep it on for scenario replays and tests, off for long sessions.
+        # Opt-in record of every formula-(5) verdict: O(ops * HB) time and
+        # memory, for scenario replays and audits.  Off, the pending
+        # window alone decides concurrency (see _verify_window).
         self.record_checks = record_checks
         self.checks: list[CheckRecord] = []
         self.executed_op_ids: list[str] = []
@@ -209,7 +211,7 @@ class StarClient(EditorEndpoint):
         self._last_exec_was_local = True
         if self.event_log is not None:
             self.event_log.generate(self.pid, op_id)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
@@ -219,7 +221,7 @@ class StarClient(EditorEndpoint):
         origin_wall = None
         if self.span_clock is not None:
             origin_wall = self.span_clock()
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(
                     TraceEventKind.SPAN, self.pid, op_id=op_id,
                     peer=self.pid, via="generate", origin_time=origin_wall,
@@ -269,28 +271,17 @@ class StarClient(EditorEndpoint):
             )
         message: OpMessage = envelope.payload
         ts = message.timestamp
-        # The full formula-(5) sweep over the HB is O(|HB|) per arrival
-        # and only needed when recording or oracle-verifying checks; the
-        # FIFO analysis (see _concurrency_pass) proves the concurrent
-        # set equals the unacknowledged-pending set, which the fast path
-        # uses directly.  The slow path cross-checks the two.
-        diagnostics = self.record_checks or self.verify_with_oracle
-        concurrent_entries = self._concurrency_pass(message) if diagnostics else None
         # FIFO acknowledgement: T[2] local operations are now reflected
-        # in the notifier's state; they stop being "pending".
+        # in the notifier's state; they stop being "pending".  What stays
+        # pending is exactly the set formula (5) marks concurrent (DESIGN
+        # section 3), so the window is the concurrency check.
         while self.pending and self.pending[0].timestamp.second <= ts.second:
             self.pending.popleft()
-        if self.transform_enabled and concurrent_entries is not None:
-            expected = [entry.op_id for entry in self.pending]
-            actual = [entry.op_id for entry in concurrent_entries]
-            if expected != actual:
-                raise ConsistencyError(
-                    f"site {self.pid}: formula (5) concurrent set {actual} != "
-                    f"pending set {expected} for {message.op_id}"
-                )
+        if self.record_checks or self.verify_with_oracle:
+            self._verify_window(message)
         new_op = message.op
         if self.transform_enabled:
-            if self.pending and self.tracer is not None:
+            if self.pending and self.tracer:
                 self.tracer.emit(
                     TraceEventKind.TRANSFORMED, self.pid, op_id=message.op_id,
                     source_op_id=message.source_op_id,
@@ -325,7 +316,7 @@ class StarClient(EditorEndpoint):
         self._last_exec_was_local = False
         if self.event_log is not None:
             self.event_log.execute(self.pid, message.op_id)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.EXECUTED, self.pid, op_id=message.op_id,
                 timestamp=tuple(ts.as_paper_list()),
@@ -341,7 +332,7 @@ class StarClient(EditorEndpoint):
         pairwise skew offline) and feeds the live end-to-end gauge the
         telemetry sampler publishes.
         """
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.SPAN, self.pid, op_id=message.op_id,
                 peer=message.origin_site, source_op_id=message.source_op_id,
@@ -349,6 +340,26 @@ class StarClient(EditorEndpoint):
             )
         if self.span_clock is not None and message.origin_wall is not None:
             self.e2e_window.append(self.span_clock() - message.origin_wall)
+
+    def _verify_window(self, message: OpMessage) -> None:
+        """Verify the pending window with the paper's formula-(5) sweep.
+
+        The sweep is O(|HB|) per arrival, so it runs only when a caller
+        asks for it: ``record_checks`` keeps one :class:`CheckRecord` per
+        (arrival, HB entry) pair, ``verify_with_oracle`` asserts every
+        verdict against full vector clocks.  With transformation on, the
+        entries the formula marks concurrent must be the pending window.
+        """
+        concurrent_entries = self._concurrency_pass(message)
+        if not self.transform_enabled:
+            return
+        expected = [entry.op_id for entry in self.pending]
+        actual = [entry.op_id for entry in concurrent_entries]
+        if expected != actual:
+            raise ConsistencyError(
+                f"site {self.pid}: formula (5) concurrent set {actual} != "
+                f"pending set {expected} for {message.op_id}"
+            )
 
     def _concurrency_pass(self, message: OpMessage) -> list[HistoryEntry]:
         """Run formula (5) over the HB; record and (optionally) verify."""
@@ -452,7 +463,7 @@ class StarClient(EditorEndpoint):
         else:
             self.sv.received_from_center = snapshot.base_count
         self.active = True
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.RECOVERED, self.pid, peer=self.center,
                 epoch=self.crash_count if recovering else 0,
@@ -496,7 +507,7 @@ class StarClient(EditorEndpoint):
             return  # duplicate election signal
         self._elect_epoch = epoch
         self.rel_stats.elections += 1
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.ELECTED, self.pid, peer=self.center, epoch=epoch,
             )
@@ -616,7 +627,7 @@ class StarClient(EditorEndpoint):
         self._failover_stash = [(entry.op_id, entry.op) for entry in self.pending]
         self._failover_pending = True
         self.active = False
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.HANDOFF, self.pid, peer=message.successor,
                 epoch=message.notifier_epoch,
@@ -673,7 +684,7 @@ class StarClient(EditorEndpoint):
         self.rel_stats.handoffs += 1
         if self.event_log is not None and snapshot.origin_clock is not None:
             self.event_log.absorb_snapshot(self.pid, snapshot.origin_clock)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.RECOVERED, self.pid, peer=self.center,
                 epoch=snapshot.notifier_epoch, via="failover",
@@ -706,7 +717,7 @@ class StarClient(EditorEndpoint):
         self.active = False
         self._recovering = False
         self.crash_count += 1
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(TraceEventKind.CRASHED, self.pid, epoch=self.crash_count)
         self.document = self.ot.initial()
         self.sv = ClientStateVector(self.pid)

@@ -3,8 +3,10 @@
 The notifier is an :class:`~repro.session.EditorEndpoint` like the
 clients: it owns a transport rather than inheriting one.  On top of that
 it maintains the full ``SV_0``; on receiving an operation from site
-``x`` it determines the concurrent history entries with formula (7),
-transforms the operation against them, executes it, and broadcasts the
+``x`` it takes the concurrent operations from the broadcasts ``x`` has
+not yet acknowledged (the set formula (7) selects; the formula sweep
+itself runs only as an opt-in verifier), transforms the operation
+against them, executes it, and broadcasts the
 *transformed* form to every other site with a per-destination compressed
 timestamp (formulas 1-2).  This redefinition is what collapses the
 causality relation to two dimensions.
@@ -72,7 +74,7 @@ class StarNotifier(EditorEndpoint):
         event_log: EventLog | None = None,
         verify_with_oracle: bool = False,
         transform_enabled: bool = True,
-        record_checks: bool = True,
+        record_checks: bool = False,
         reliability: ReliabilityConfig | None = None,
         tracer: Tracer | None = None,
         *,
@@ -138,38 +140,15 @@ class StarNotifier(EditorEndpoint):
         message: OpMessage = envelope.payload
         source = envelope.source
         ts = message.timestamp
-        if message.origin_wall is not None and self.tracer is not None:
+        if message.origin_wall is not None and self.tracer:
             self.tracer.emit(
                 TraceEventKind.SPAN, self.pid, op_id=message.op_id,
                 peer=source, via="ingest", origin_time=message.origin_wall,
             )
-        diagnostics = self.record_checks or self.verify_with_oracle
-        concurrent_entries = (
-            self._concurrency_pass(message, source) if diagnostics else None
-        )
-        # FIFO acknowledgement: the source has seen the first T[1]
-        # operations ever sent to it; drop them from its pending list.
-        already = self.acked[source]
-        to_drop = ts.first - already
-        if to_drop < 0:
-            raise ConsistencyError(
-                f"notifier: site {source} acknowledged {ts.first} < previously "
-                f"acknowledged {already} (FIFO violated?)"
-            )
-        for _ in range(to_drop):
-            self.sent_to[source].popleft()
-        self.acked[source] = ts.first
-        if self.transform_enabled and concurrent_entries is not None:
-            expected = [entry.op_id for entry in self.sent_to[source]]
-            actual = [entry.op_id for entry in concurrent_entries]
-            if expected != actual:
-                raise ConsistencyError(
-                    f"notifier: formula (7) concurrent set {actual} != pending "
-                    f"set {expected} for {message.op_id} from site {source}"
-                )
+        window = self._concurrent_window(message, source)
         new_op = message.op
         if self.transform_enabled:
-            for entry in self.sent_to[source]:
+            for entry in window:
                 new_op, updated = self.ot.transform(
                     new_op, entry.op, source < entry.origin_site
                 )
@@ -195,7 +174,7 @@ class StarNotifier(EditorEndpoint):
         if self.event_log is not None:
             self.event_log.execute(self.pid, source_op_id)
             self.event_log.generate(self.pid, transformed_id)
-        if self.tracer is not None:
+        if self.tracer:
             # Execution of the incoming form, then generation of the
             # transformed form "at site 0" -- mirroring the event log.
             self.tracer.emit(
@@ -210,7 +189,7 @@ class StarNotifier(EditorEndpoint):
         if origin_wall is not None:
             # The centre executed the op too: close its span, then open
             # the broadcast stage the remote executions will pair with.
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(
                     TraceEventKind.SPAN, self.pid, op_id=source_op_id,
                     peer=source, via="execute", origin_time=origin_wall,
@@ -272,7 +251,7 @@ class StarNotifier(EditorEndpoint):
         )
         if self.event_log is not None:
             self.event_log.generate(self.pid, op_id)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.GENERATED, self.pid, op_id=op_id,
                 timestamp=tuple(ts.as_paper_list()),
@@ -280,7 +259,7 @@ class StarNotifier(EditorEndpoint):
         origin_wall = None
         if self.span_clock is not None:
             origin_wall = self.span_clock()
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(
                     TraceEventKind.SPAN, self.pid, op_id=op_id,
                     peer=self.pid, via="generate", origin_time=origin_wall,
@@ -299,6 +278,50 @@ class StarNotifier(EditorEndpoint):
         return op_id
 
     @profiled("notifier.concurrency")
+    def _concurrent_window(self, message: OpMessage, source: int) -> deque[PendingOp]:
+        """The broadcasts concurrent with ``message``: ``sent_to[source]``.
+
+        FIFO acknowledgement first: the source has seen the first T[1]
+        operations ever sent to it, so they leave its pending window.
+        What remains is exactly the set formula (7) marks concurrent
+        (DESIGN section 3); the formula sweep runs as the window's
+        verifier only under ``record_checks`` or ``verify_with_oracle``.
+        """
+        ts = message.timestamp
+        already = self.acked[source]
+        to_drop = ts.first - already
+        if to_drop < 0:
+            raise ConsistencyError(
+                f"notifier: site {source} acknowledged {ts.first} < previously "
+                f"acknowledged {already} (FIFO violated?)"
+            )
+        window = self.sent_to[source]
+        for _ in range(to_drop):
+            window.popleft()
+        self.acked[source] = ts.first
+        if self.record_checks or self.verify_with_oracle:
+            self._verify_window(message, source)
+        return window
+
+    def _verify_window(self, message: OpMessage, source: int) -> None:
+        """Verify ``sent_to[source]`` with the paper's formula-(7) sweep.
+
+        The sweep is O(|HB_0|) per arrival, so it runs only when a caller
+        asks for it (see :meth:`StarClient._verify_window`).  With
+        transformation on, the entries the formula marks concurrent must
+        be the pending window.
+        """
+        concurrent_entries = self._concurrency_pass(message, source)
+        if not self.transform_enabled:
+            return
+        expected = [entry.op_id for entry in self.sent_to[source]]
+        actual = [entry.op_id for entry in concurrent_entries]
+        if expected != actual:
+            raise ConsistencyError(
+                f"notifier: formula (7) concurrent set {actual} != pending "
+                f"set {expected} for {message.op_id} from site {source}"
+            )
+
     def _concurrency_pass(self, message: OpMessage, source: int) -> list[HistoryEntry]:
         """Run formula (7) over ``HB_0``; record and (optionally) verify."""
         out: list[HistoryEntry] = []
@@ -352,7 +375,7 @@ class StarNotifier(EditorEndpoint):
         self.destinations.add(site_id)
         self.sent_to[site_id] = deque()
         self.acked[site_id] = self.sv.total()
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site_id, epoch=0, via="join",
             )
@@ -391,7 +414,7 @@ class StarNotifier(EditorEndpoint):
         origin_clock = None
         if self.event_log is not None:
             origin_clock = self.event_log.site_clock(self.pid)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site, epoch=epoch,
                 via="resync",
@@ -422,7 +445,7 @@ class StarNotifier(EditorEndpoint):
         if self.transport.reliability is None:
             raise RuntimeError("crash injection requires the reliability protocol")
         self.transport.go_down()
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.CRASHED, self.pid, epoch=self.notifier_epoch,
             )
@@ -495,7 +518,7 @@ class StarNotifier(EditorEndpoint):
             if missing > 0:
                 notifier.failover_losses += missing
         notifier.rel_stats.promotions += 1
-        if notifier.tracer is not None:
+        if notifier.tracer:
             notifier.tracer.emit(
                 TraceEventKind.PROMOTED, notifier.pid, epoch=notifier_epoch,
             )
@@ -517,7 +540,7 @@ class StarNotifier(EditorEndpoint):
         origin_clock = None
         if self.event_log is not None:
             origin_clock = self.event_log.site_clock(self.pid)
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(
                 TraceEventKind.SNAPSHOT, self.pid, peer=site,
                 epoch=self.notifier_epoch, via="failover",

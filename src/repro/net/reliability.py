@@ -287,14 +287,14 @@ class RawTransport:
     @profiled("net.send")
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
                              op_id=_traced_op_id(payload))
         self.wire_send(dest, payload, timestamp_bytes, kind)
 
     @profiled("net.recv")
     def on_wire(self, envelope: Envelope) -> None:
-        if self.tracer is not None:
+        if self.tracer:
             # A perfect FIFO channel delivers every arrival in order.
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                              peer=envelope.source,
@@ -397,7 +397,7 @@ class ReliableEndpoint:
     def send(self, dest: int, payload: Any, timestamp_bytes: int = 0,
              kind: str = "op") -> None:
         if self.reliability is None:
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
                                  op_id=_traced_op_id(payload))
             self.wire_send(dest, payload, timestamp_bytes, kind)
@@ -412,7 +412,7 @@ class ReliableEndpoint:
             # window without touching the wire.  If the peer ever talks
             # again the link resurrects and the window retransmits.
             return
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(TraceEventKind.SENT, self.pid, peer=dest,
                              epoch=link.epoch, seq=seq,
                              op_id=_traced_op_id(payload))
@@ -448,7 +448,7 @@ class ReliableEndpoint:
         for seq in sorted(link.unacked):
             payload, ts_bytes, kind = link.unacked[seq]
             self.stats.retransmits += 1
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(TraceEventKind.RETRANSMITTED, self.pid,
                                  peer=dest, epoch=link.epoch, seq=seq,
                                  op_id=_traced_op_id(payload))
@@ -481,7 +481,7 @@ class ReliableEndpoint:
             return
         payload = envelope.payload
         if self.reliability is None or not isinstance(payload, ReliablePacket):
-            if self.tracer is not None:
+            if self.tracer:
                 self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                                  peer=envelope.source,
                                  op_id=_traced_op_id(payload), via="direct")
@@ -529,14 +529,14 @@ class ReliableEndpoint:
             try:
                 fresh = self._holdback.hold(source, packet.seq, envelope)
             except HoldbackOverflow:
-                if self.tracer is not None:
+                if self.tracer:
                     self.tracer.emit(TraceEventKind.HOLDBACK_OVERFLOW,
                                      self.pid, peer=source,
                                      epoch=packet.epoch, seq=packet.seq)
                 raise
             if fresh:
                 self.stats.out_of_order_held += 1
-                if self.tracer is not None:
+                if self.tracer:
                     self.tracer.emit(TraceEventKind.HELD_BACK, self.pid,
                                      peer=source, epoch=packet.epoch,
                                      seq=packet.seq,
@@ -569,7 +569,7 @@ class ReliableEndpoint:
         self._release_trace.setdefault(envelope.source, []).append(
             (packet.epoch, packet.seq)
         )
-        if self.tracer is not None:
+        if self.tracer:
             self.tracer.emit(TraceEventKind.RELEASED, self.pid,
                              peer=envelope.source, epoch=packet.epoch,
                              seq=packet.seq,

@@ -16,14 +16,16 @@ creating a cycle.
 Overhead contract
 -----------------
 Tracing is **opt-in**.  The disabled path at every hook site is a single
-attribute check (``if self.tracer is not None``) -- no event object is
-built, no string is formatted, nothing is appended.  A session
+truth test (``if self.tracer:``) -- no event object is built, no string
+is formatted, no argument is evaluated, nothing is appended.  A session
 constructed without a tracer therefore runs the exact same instruction
-stream as before instrumentation, plus one pointer comparison per hook;
-``benchmarks/test_trace_overhead.py`` guards this at <= 5%.  A
-:class:`Tracer` constructed with ``enabled=False`` additionally makes
-``emit`` itself a no-op, for call sites that hold a tracer object but
-want to mute it.
+stream as before instrumentation, plus one test of ``None`` per hook.
+A :class:`Tracer` constructed with ``enabled=False`` (a *muted* tracer,
+for call sites that hold a tracer object but want to silence it) is
+falsy, so the same test skips the hook after one ``__bool__`` call;
+``emit`` on a muted tracer is a no-op too.  Setting ``enabled`` later
+takes effect at the next hook.  ``benchmarks/test_trace_overhead.py``
+guards the muted path at <= 5% of the tracer-free one.
 """
 
 from __future__ import annotations
@@ -400,6 +402,12 @@ class Tracer:
 
     def by_kind(self, kind: TraceEventKind) -> list[TraceEvent]:
         return [event for event in self.events if event.kind is kind]
+
+    def __bool__(self) -> bool:
+        """``enabled``: hook sites test ``if self.tracer:``, so a muted
+        tracer skips the hook, arguments and all (see the module's
+        overhead contract).  Not ``len(self)``."""
+        return self.enabled
 
     def __len__(self) -> int:
         return len(self.events)

@@ -74,7 +74,7 @@ class TestJoinProtocol:
         from repro.editor.star_client import StarClient
 
         session = StarSession(2, record_events=False)
-        rogue = StarClient(session.sim, 9, record_checks=False, joining=True)
+        rogue = StarClient(session.sim, 9, joining=True)
         with pytest.raises(ValueError, match="next site id"):
             session.notifier.admit_client(rogue)
 

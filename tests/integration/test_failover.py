@@ -39,6 +39,7 @@ def failover_session(standby=None, crashes=(), crash_at=5.0, tracer=None):
         3,
         latency_factory=latency_factory,
         verify_with_oracle=True,
+        record_checks=True,
         fault_plan=plan,
         reliability=FAST_DETECT,
         standby_site=standby,

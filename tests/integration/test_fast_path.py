@@ -1,9 +1,9 @@
 """The diagnostic-free fast path must behave identically.
 
-Sessions with ``record_checks=False`` / ``verify_with_oracle=False``
-skip the O(|HB|) formula sweep per arrival and derive the concurrent set
-from the FIFO-acknowledgement structure directly (see
-``StarClient.on_message``).  These tests pin the equivalence: same
+Sessions with ``record_checks=False`` / ``verify_with_oracle=False`` (the
+defaults) skip the O(|HB|) formula sweep per arrival and take the
+concurrent set from the FIFO-acknowledgement window directly (see
+``StarClient._handle_app_message``).  These tests pin the equivalence: same
 documents, same timestamps, same wire traffic as the fully instrumented
 run, on identical workloads.
 """
@@ -67,7 +67,6 @@ class TestFastPathEquivalence:
             initial_state=FIG2_INITIAL_DOCUMENT,
             latency_factory=fig_latency_factory,
             record_events=False,
-            record_checks=False,
         )
         for item in fig3_script():
             session.generate_at(item.site, item.op, item.time, op_id=item.op_id)

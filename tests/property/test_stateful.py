@@ -89,7 +89,6 @@ class StarMembershipMachine(RuleBasedStateMachine):
             2,
             initial_state=CONFIG.initial_document,
             record_events=False,
-            record_checks=False,
         )
 
     @rule(pick=st.integers(0, 10**6), seed=st.integers(0, 2**16))

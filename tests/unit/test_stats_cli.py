@@ -9,11 +9,12 @@ from repro.editor.star import StarSession
 from repro.workloads.scripted import fig3_script, fig_latency_factory, FIG2_INITIAL_DOCUMENT
 
 
-def fig3_session():
+def fig3_session(record_checks=True):
     session = StarSession(
         3,
         initial_state=FIG2_INITIAL_DOCUMENT,
         latency_factory=fig_latency_factory,
+        record_checks=record_checks,
     )
     for item in fig3_script():
         session.generate_at(item.site, item.op, item.time, op_id=item.op_id)
@@ -63,10 +64,17 @@ class TestTransformPressure:
         assert 0 < pressure.mean_concurrent_set <= 1
 
     def test_empty_pressure(self):
-        session = StarSession(2)
+        session = StarSession(2, record_checks=True)
         pressure = transform_pressure(session)
         assert pressure.total_remote_executions == 0
         assert pressure.mean_concurrent_set == 0.0
+
+    def test_session_without_records_is_refused(self):
+        """A default session records no checks: reading it as zero
+        pressure would be a silent zero."""
+        session = fig3_session(record_checks=False)
+        with pytest.raises(ValueError, match="record_checks=True"):
+            transform_pressure(session)
 
 
 class TestCLI:

@@ -78,6 +78,12 @@ class TestDisabledMode:
         assert len(tracer) == 0
         assert tracer.metrics.counters() == {}
 
+    def test_truth_is_enabled_not_length(self):
+        """Hook sites test ``if self.tracer:``: a muted tracer skips them,
+        an enabled one runs them even before its first event."""
+        assert not Tracer(enabled=False)
+        assert Tracer()
+
     def test_disabled_then_reenabled(self):
         tracer = Tracer(enabled=False)
         tracer.emit(TraceEventKind.GENERATED, 1)
